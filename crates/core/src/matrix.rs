@@ -95,9 +95,8 @@ impl<T: DeviceElem> Matrix<T> {
 
     /// Download a device buffer into a matrix of the given shape.
     pub fn from_device(buf: &GlobalBuffer<T>, rows: usize, cols: usize) -> Self {
-        let data = buf.to_vec();
-        assert_eq!(data.len(), rows * cols);
-        Matrix { rows, cols, data }
+        assert_eq!(buf.len(), rows * cols, "device buffer length does not match a {rows}x{cols} matrix");
+        Matrix { rows, cols, data: buf.to_vec() }
     }
 }
 
@@ -137,6 +136,13 @@ mod tests {
         let buf = m.to_device();
         let back = Matrix::from_device(&buf, 5, 7);
         assert_eq!(m, back);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match a 7x5 matrix")]
+    fn from_device_rejects_a_wrong_shape_before_copying() {
+        let buf = GlobalBuffer::<u32>::zeroed(36);
+        let _ = Matrix::from_device(&buf, 7, 5);
     }
 
     #[test]

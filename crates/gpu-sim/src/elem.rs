@@ -16,9 +16,10 @@
 //! or vectorize atomic operations, so a loop of relaxed loads runs one
 //! element per instruction while the equivalent `memcpy` moves a cache
 //! line per instruction. The bulk slice helpers on [`DeviceElem`]
-//! (`load_slice`/`store_slice`/`copy_slice`/`fill_slice`) therefore move
-//! whole ranges with plain (non-atomic) loads and stores, which the
-//! built-in element types implement as `memcpy`/`memset`.
+//! (`load_slice`/`store_slice`/`copy_slice`/`fill_slice`, plus
+//! `load_uninit`/`store_uninit` for host transfers into fresh memory)
+//! therefore move whole ranges with plain (non-atomic) loads and stores,
+//! which the built-in element types implement as `memcpy`/`memset`.
 //!
 //! **Data-race contract:** a bulk transfer is a plain access, so the range
 //! it touches must be data-race-free for the duration of the call. Every
@@ -30,6 +31,7 @@
 //! race-free. Racy *scalar* accesses remain well-defined (they stay
 //! atomic); only the bulk paths assume the soft-sync discipline.
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// An atomic word that can back a device scalar.
@@ -37,9 +39,20 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// Implemented for [`AtomicU32`] and [`AtomicU64`]; selected per element
 /// type through [`DeviceElem::Atom`] so that 4-byte elements occupy 4 bytes
 /// of host memory (a 32K x 32K `f32` matrix is 4 GiB, not 8).
-pub trait AtomBacking: Default + Send + Sync + 'static {
+///
+/// # Safety
+///
+/// The all-zero bit pattern must be a valid value of `Self`, and it must
+/// read back as `Bits` zero. [`GlobalBuffer::zeroed`](crate::global::GlobalBuffer::zeroed)
+/// relies on this: it allocates with `alloc_zeroed` and never constructs
+/// the atoms one by one, so fresh pages stay untouched until the device
+/// first writes them.
+pub unsafe trait AtomBacking: Send + Sync + 'static {
     /// The plain integer carrying the element's bit pattern.
     type Bits: Copy + Eq + Send + Sync + 'static;
+
+    /// A new word holding `bits`.
+    fn new(bits: Self::Bits) -> Self;
 
     /// Relaxed load of the bit pattern.
     fn load_bits(&self) -> Self::Bits;
@@ -51,8 +64,15 @@ pub trait AtomBacking: Default + Send + Sync + 'static {
     fn compare_exchange_bits(&self, current: Self::Bits, new: Self::Bits) -> Result<Self::Bits, Self::Bits>;
 }
 
-impl AtomBacking for AtomicU32 {
+// SAFETY: `AtomicU32` has the in-memory representation of `u32`, for which
+// all-zero is the valid value 0.
+unsafe impl AtomBacking for AtomicU32 {
     type Bits = u32;
+
+    #[inline(always)]
+    fn new(bits: u32) -> Self {
+        AtomicU32::new(bits)
+    }
 
     #[inline(always)]
     fn load_bits(&self) -> u32 {
@@ -70,8 +90,15 @@ impl AtomBacking for AtomicU32 {
     }
 }
 
-impl AtomBacking for AtomicU64 {
+// SAFETY: `AtomicU64` has the in-memory representation of `u64`, for which
+// all-zero is the valid value 0.
+unsafe impl AtomBacking for AtomicU64 {
     type Bits = u64;
+
+    #[inline(always)]
+    fn new(bits: u64) -> Self {
+        AtomicU64::new(bits)
+    }
 
     #[inline(always)]
     fn load_bits(&self) -> u64 {
@@ -124,9 +151,20 @@ pub trait DeviceElem: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug
     /// for the duration of the call (see the module docs); implementations
     /// may then use plain loads instead of atomics.
     fn load_slice(src: &[Self::Atom], dst: &mut [Self]) {
+        // SAFETY: `MaybeUninit<Self>` has the layout of `Self`, and
+        // `load_uninit` only writes initialised values through the view,
+        // so `dst` stays initialised.
+        let dst = unsafe { &mut *(dst as *mut [Self] as *mut [MaybeUninit<Self>]) };
+        Self::load_uninit(src, dst);
+    }
+
+    /// [`DeviceElem::load_slice`] into uninitialised host memory: on
+    /// return every element of `dst` is initialised. Lets a download copy
+    /// straight into fresh capacity instead of zero-filling it first.
+    fn load_uninit(src: &[Self::Atom], dst: &mut [MaybeUninit<Self>]) {
         assert_eq!(src.len(), dst.len(), "bulk load length mismatch");
         for (d, a) in dst.iter_mut().zip(src) {
-            *d = Self::from_bits(a.load_bits());
+            d.write(Self::from_bits(a.load_bits()));
         }
     }
 
@@ -137,6 +175,16 @@ pub trait DeviceElem: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug
         assert_eq!(dst.len(), src.len(), "bulk store length mismatch");
         for (a, s) in dst.iter().zip(src) {
             a.store_bits(s.to_bits());
+        }
+    }
+
+    /// [`DeviceElem::store_slice`] into a fresh, uninitialised allocation:
+    /// on return every word of `dst` is initialised. Lets an upload copy
+    /// the host data once instead of zero-filling the buffer first.
+    fn store_uninit(dst: &mut [MaybeUninit<Self::Atom>], src: &[Self]) {
+        assert_eq!(dst.len(), src.len(), "bulk store length mismatch");
+        for (a, s) in dst.iter_mut().zip(src) {
+            a.write(Self::Atom::new(s.to_bits()));
         }
     }
 
@@ -166,16 +214,17 @@ pub trait DeviceElem: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug
 macro_rules! impl_bulk_bitcopy {
     () => {
         #[inline]
-        fn load_slice(src: &[Self::Atom], dst: &mut [Self]) {
+        fn load_uninit(src: &[Self::Atom], dst: &mut [MaybeUninit<Self>]) {
             assert_eq!(src.len(), dst.len(), "bulk load length mismatch");
             // SAFETY: `Self::Atom` is `AtomicU32`/`AtomicU64`, which std
             // documents as having the same in-memory representation as the
             // underlying integer, and `from_bits` reinterprets that bit
-            // pattern into `Self` of the same size. The destination is a
-            // fresh `&mut` slice, so the ranges cannot overlap. Race
-            // freedom of the source range is the caller's contract.
+            // pattern into `Self` of the same size; `MaybeUninit<Self>` has
+            // the layout of `Self`. The destination is a fresh `&mut`
+            // slice, so the ranges cannot overlap. Race freedom of the
+            // source range is the caller's contract.
             unsafe {
-                std::ptr::copy_nonoverlapping(src.as_ptr() as *const Self, dst.as_mut_ptr(), dst.len());
+                std::ptr::copy_nonoverlapping(src.as_ptr() as *const Self, dst.as_mut_ptr() as *mut Self, dst.len());
             }
         }
 
@@ -187,6 +236,17 @@ macro_rules! impl_bulk_bitcopy {
             // `&[Self]` cannot alias device memory.
             unsafe {
                 std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_ptr() as *const Self as *mut Self, src.len());
+            }
+        }
+
+        #[inline]
+        fn store_uninit(dst: &mut [MaybeUninit<Self::Atom>], src: &[Self]) {
+            assert_eq!(dst.len(), src.len(), "bulk store length mismatch");
+            // SAFETY: as in `load_uninit`, with the roles swapped: every
+            // bit pattern of `Self` is a valid atomic word of the same
+            // size, and `&[Self]` cannot alias the fresh `&mut` allocation.
+            unsafe {
+                std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_mut_ptr() as *mut Self, src.len());
             }
         }
 

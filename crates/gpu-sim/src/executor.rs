@@ -488,6 +488,11 @@ fn worker_loop(shared: &Arc<PoolShared>) {
     // The arena persists across launches: a worker that just ran kernel K
     // serves kernel K+1's scratch takes from warm buffers.
     let mut arena = ScratchArena::new();
+    // Exhausted jobs leave the queue under its lock but are dropped only
+    // after it is released: a job can own its engine's last reference (a
+    // stream body capturing a `Gpu`), and dropping the engine shuts this
+    // pool down, which takes the queue lock.
+    let mut retired: Vec<Arc<LaunchJob>> = Vec::new();
     loop {
         let job = {
             let mut q = shared.queue.lock().unwrap();
@@ -495,7 +500,13 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 // Jobs whose blocks are all claimed complete on the workers
                 // still running them; drop them from the queue so newer
                 // jobs (e.g. other streams) can overlap.
-                q.jobs.retain(|j| !j.exhausted());
+                q.jobs.retain(|j| {
+                    let exhausted = j.exhausted();
+                    if exhausted {
+                        retired.push(Arc::clone(j));
+                    }
+                    !exhausted
+                });
                 // Claiming needs both a job and an execution token — a
                 // thread without a token (all handed to parked waiters'
                 // debts) waits like one without work, keeping runnable
@@ -509,11 +520,18 @@ fn worker_loop(shared: &Arc<PoolShared>) {
                 if q.shutdown {
                     return;
                 }
+                if !retired.is_empty() {
+                    drop(q);
+                    retired.clear();
+                    q = shared.queue.lock().unwrap();
+                    continue;
+                }
                 q.idle += 1;
                 q = shared.ready.wait(q).unwrap();
                 q.idle -= 1;
             }
         };
+        retired.clear();
         // A completing stream job may hand back the stream's next launch;
         // run it on this worker's warm arena instead of paying the queue
         // lock + condvar wake for every kernel of a long pipeline. The
@@ -584,13 +602,18 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.queue.lock().unwrap().shutdown = true;
         self.ready_all();
-        for h in self.handles.drain(..) {
+        // The engine's last reference can be dropped on one of this pool's
+        // own threads (a stream job owning a `Gpu`). That thread cannot
+        // join itself; it exits through the shutdown flag once this drop
+        // returns to its worker loop.
+        let me = std::thread::current().id();
+        for h in self.handles.drain(..).filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
         // Standby threads spawned by parked-wait handoffs exit through the
         // same shutdown flag; no launch is in flight at engine drop, so
         // they are all idle by now.
-        for h in self.shared.standby.lock().unwrap().drain(..) {
+        for h in self.shared.standby.lock().unwrap().drain(..).filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
     }

@@ -15,9 +15,22 @@
 //!   element drags a wider slice of its DRAM sector through the bus
 //!   ([`DeviceConfig::strided_bytes_per_elem`](crate::device::DeviceConfig::strided_bytes_per_elem)).
 //!
-//! Host-side accessors (`host_*`, [`GlobalBuffer::to_vec`]) are free: they
-//! model `cudaMemcpy` of inputs/outputs, which the paper excludes from all
-//! timings.
+//! Host-side accessors (`host_*`, [`GlobalBuffer::to_vec`]) charge no
+//! counters: they model `cudaMemcpy` of inputs/outputs, which the paper
+//! excludes from all timings. On the host they still cost wall time, so
+//! each transfer makes at most one pass over its elements:
+//!
+//! * [`GlobalBuffer::zeroed`] makes none. It allocates with
+//!   `alloc_zeroed`, so a fresh mapping arrives as the kernel's zero pages
+//!   and each page faults in on the device's first write to it.
+//! * [`GlobalBuffer::from_slice`] copies the host data once into an
+//!   uninitialised allocation; its page faults land in that copy.
+//! * [`GlobalBuffer::to_vec`] copies once into uninitialised capacity;
+//!   its page faults land in that copy, on the destination.
+//!
+//! All three advise their fresh allocation for huge pages before the
+//! first touch (`advise_huge_pages`), so a large transfer faults in one
+//! 2 MiB page at a time instead of one 4 KiB page at a time.
 
 use crate::device::WARP;
 use crate::elem::{AtomBacking, DeviceElem};
@@ -43,15 +56,20 @@ pub fn force_scalar() -> bool {
     FORCE_SCALAR.load(Ordering::Relaxed)
 }
 
-/// Ask the kernel to back a large allocation with transparent huge pages.
+/// Ask the kernel to back a host allocation of at least 4 MiB with
+/// transparent huge pages.
 ///
-/// Multi-gigabyte simulated device buffers are walked tile by tile with a
-/// 64 KiB stride between consecutive rows, so with 4 KiB pages every row of
-/// every tile touches a fresh TLB entry. `MADV_HUGEPAGE` (the default THP
-/// policy on most hosts is `madvise`) cuts that walk by 512x. The advice is
-/// issued before first touch so the pages fault in huge; failures (other
-/// platforms, tiny mappings, THP disabled) are silently ignored — this is
-/// purely a performance hint and never affects results or counters.
+/// Two costs shrink. Large simulated device buffers are walked tile by
+/// tile with a row-length stride between consecutive rows, so with 4 KiB
+/// pages every row of every tile touches a fresh TLB entry. And every
+/// fresh 4 KiB page costs a minor fault on first touch: a 64 MiB transfer
+/// into 4 KiB pages takes over 16 000 of them, into 2 MiB pages 32.
+/// `MADV_HUGEPAGE` (the default THP policy on most hosts is `madvise`)
+/// cuts both by up to 512x. The advice is issued before first touch so
+/// the pages fault in huge; only whole 2 MiB-aligned ranges inside the
+/// allocation are advised. Failures (other platforms, THP disabled) are
+/// silently ignored — this is purely a performance hint and never affects
+/// results or counters.
 fn advise_huge_pages(ptr: *const u8, bytes: usize) {
     #[cfg(target_os = "linux")]
     {
@@ -86,22 +104,30 @@ pub struct GlobalBuffer<T: DeviceElem> {
 
 impl<T: DeviceElem> GlobalBuffer<T> {
     /// Allocate `len` elements, zero-initialized (as `cudaMemset(0)`).
+    ///
+    /// No host pass: the zeroes come from `alloc_zeroed`, and on a fresh
+    /// mapping they fault in lazily on the device's first write.
     pub fn zeroed(len: usize) -> Self {
-        let mut v = Vec::with_capacity(len);
-        advise_huge_pages(v.as_ptr() as *const u8, len * std::mem::size_of::<T::Atom>());
-        v.resize_with(len, T::Atom::default);
-        let buf = GlobalBuffer { data: v.into_boxed_slice(), len };
-        // `T::Atom::default()` is the zero bit pattern, which is `T::zero()`
-        // for every supported element type; make that explicit anyway.
+        // SAFETY: `AtomBacking`'s contract makes the all-zero bit pattern a
+        // valid `T::Atom`, so the zeroed allocation is fully initialised.
+        let data = unsafe { Box::<[T::Atom]>::new_zeroed_slice(len).assume_init() };
+        advise_huge_pages(data.as_ptr() as *const u8, std::mem::size_of_val(&*data));
+        let buf = GlobalBuffer { data, len };
+        // The zero bit pattern is `T::zero()` for every supported element
+        // type; make that explicit anyway.
         debug_assert!(len == 0 || buf.host_read(0) == T::zero());
         buf
     }
 
-    /// Allocate and fill from host data (models host-to-device copy).
+    /// Allocate and fill from host data (models host-to-device copy): one
+    /// copy into an uninitialised allocation.
     pub fn from_slice(src: &[T]) -> Self {
-        let buf = Self::zeroed(src.len());
-        T::store_slice(&buf.data, src);
-        buf
+        let mut data = Box::<[T::Atom]>::new_uninit_slice(src.len());
+        advise_huge_pages(data.as_ptr() as *const u8, std::mem::size_of_val(&*data));
+        T::store_uninit(&mut data, src);
+        // SAFETY: `store_uninit` initialised every word of `data`.
+        let data = unsafe { data.assume_init() };
+        GlobalBuffer { data, len: src.len() }
     }
 
     /// Number of elements.
@@ -126,10 +152,15 @@ impl<T: DeviceElem> GlobalBuffer<T> {
         self.data[i].store_bits(v.to_bits());
     }
 
-    /// Copy the whole buffer back to the host (models device-to-host copy).
+    /// Copy the whole buffer back to the host (models device-to-host copy):
+    /// one copy into uninitialised capacity.
     pub fn to_vec(&self) -> Vec<T> {
-        let mut v = vec![T::zero(); self.len];
-        T::load_slice(&self.data, &mut v);
+        let mut v = Vec::with_capacity(self.len);
+        advise_huge_pages(v.as_ptr() as *const u8, self.len * std::mem::size_of::<T>());
+        T::load_uninit(&self.data, &mut v.spare_capacity_mut()[..self.len]);
+        // SAFETY: `load_uninit` initialised the first `self.len` elements,
+        // and the capacity is at least `self.len`.
+        unsafe { v.set_len(self.len) };
         v
     }
 
@@ -664,5 +695,65 @@ mod tests {
         let b = GlobalBuffer::<i64>::zeroed(10);
         b.host_fill(-3);
         assert!(b.to_vec().iter().all(|&v| v == -3));
+    }
+
+    /// Elements in the large transfer tests: above the 4 MiB huge-page
+    /// advice threshold for every element width, and not a multiple of
+    /// 2 MiB, so both the advised middle and the unadvised tail are hit.
+    const LARGE: usize = (1 << 20) + 12_345;
+
+    fn assert_zeroed_large<T: DeviceElem>() {
+        let v = GlobalBuffer::<T>::zeroed(LARGE).to_vec();
+        assert_eq!(v.len(), LARGE);
+        let zero = T::zero().to_bits();
+        assert!(v.iter().all(|x| x.to_bits() == zero), "zeroed buffer holds a non-zero element");
+    }
+
+    #[test]
+    fn zeroed_large_buffers_read_all_zero() {
+        assert_zeroed_large::<u32>();
+        assert_zeroed_large::<u64>();
+        assert_zeroed_large::<f32>();
+        assert_zeroed_large::<f64>();
+    }
+
+    #[test]
+    fn from_slice_to_vec_roundtrips_large_buffers_exactly() {
+        let ints: Vec<u32> = (0..LARGE as u32).map(|k| k.wrapping_mul(0x9E37_79B9)).collect();
+        assert_eq!(GlobalBuffer::from_slice(&ints).to_vec(), ints);
+        // Every bit pattern survives, NaN payloads and negative zero too.
+        let floats: Vec<f64> =
+            (0..LARGE as u64).map(|k| f64::from_bits(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect();
+        let back = GlobalBuffer::from_slice(&floats).to_vec();
+        assert!(back.iter().map(|x| x.to_bits()).eq(floats.iter().map(|x| x.to_bits())));
+    }
+
+    /// Minor page faults taken so far by the calling thread (`minflt`, the
+    /// 10th field of `/proc/thread-self/stat`).
+    #[cfg(target_os = "linux")]
+    fn thread_minor_faults() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("read /proc/thread-self/stat");
+        // The command name (field 2) may hold spaces; count from after it.
+        let rest = &stat[stat.rfind(')').expect("stat has a command name") + 1..];
+        rest.split_whitespace().nth(7).and_then(|f| f.parse().ok()).expect("minflt field")
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn large_download_faults_in_huge_pages() {
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled").unwrap_or_default();
+        if !(thp.contains("[always]") || thp.contains("[madvise]")) {
+            eprintln!("skipped: transparent huge pages are not enabled for madvised memory ({})", thp.trim());
+            return;
+        }
+        let len = 64 << 20 >> 2; // 64 MiB of u32
+        let buf = GlobalBuffer::<u32>::zeroed(len);
+        buf.host_fill(7);
+        let before = thread_minor_faults();
+        let v = buf.to_vec();
+        let faults = thread_minor_faults() - before;
+        assert!(v.len() == len && v[0] == 7 && v[len - 1] == 7);
+        // 4 KiB pages would take 16 384 faults; 2 MiB pages take 32.
+        assert!(faults < 4096, "64 MiB download took {faults} minor faults");
     }
 }

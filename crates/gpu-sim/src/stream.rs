@@ -539,4 +539,55 @@ mod tests {
         }
         assert_eq!(cell.host_read(0), 3, "drop synchronized the stream");
     }
+
+    /// Reports, when dropped, whether its thread was unwinding a panic.
+    struct PanicProbe(std::sync::mpsc::Sender<bool>);
+
+    impl Drop for PanicProbe {
+        fn drop(&mut self) {
+            let _ = self.0.send(std::thread::panicking());
+        }
+    }
+
+    #[test]
+    fn last_engine_reference_dropped_on_a_pool_worker_shuts_down_cleanly() {
+        // A stream job whose body owns a `Gpu` clone can hold the engine's
+        // last reference, so the engine -- and its worker pool -- may be
+        // dropped on one of that pool's own workers. The pool must then
+        // skip joining the current thread (which would fail with
+        // "Resource deadlock avoided") and let it exit through the shutdown
+        // flag. On odd rounds the body also owns a stream handle, so the
+        // host keeps no reference at all once it lets go of its own.
+        for workers in [1, 2] {
+            for round in 0..200 {
+                let mut cfg = DeviceConfig::tiny();
+                cfg.host_workers = workers;
+                let g = Gpu::new(cfg).with_mode(ExecMode::Concurrent);
+                let s = g.stream();
+                let (tx, rx) = std::sync::mpsc::channel();
+                // Fields drop in declaration order: the engine first, then
+                // the probe, which sees a panic of the engine's drop as
+                // unwinding in progress.
+                struct Owned {
+                    _gpu: Gpu,
+                    _stream: Option<super::Stream>,
+                    _probe: PanicProbe,
+                }
+                let owned = Owned {
+                    _gpu: g.clone(),
+                    _stream: (round % 2 == 1).then(|| s.clone()),
+                    _probe: PanicProbe(tx),
+                };
+                s.enqueue(LaunchConfig::new("owns-engine", 1, 32), move |_ctx| {
+                    let _ = &owned;
+                });
+                drop(s);
+                drop(g);
+                let panicked = rx
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("engine drop hung ({workers} workers, round {round})"));
+                assert!(!panicked, "engine drop panicked ({workers} workers, round {round})");
+            }
+        }
+    }
 }

@@ -13,6 +13,12 @@ cargo build --release --workspace
 cargo test --workspace -q
 cargo clippy --all-targets --workspace -- -D warnings
 
+# The benchmark package (satbench/) builds against crates/core and
+# crates/gpu-sim by path but sits outside the workspace, so a library API
+# change can break it without any --workspace step noticing. Its
+# self-tests compile the whole benchmark.
+cargo test --release --offline --manifest-path satbench/Cargo.toml
+
 # Scalar-vs-batched accounting parity: every bulk fast path (warp
 # transactions, windowed look-back) must charge exactly what its scalar
 # expansion charges, for all eight kernels under every dispatch order.
